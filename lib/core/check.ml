@@ -201,6 +201,29 @@ let synthesize ?(config = default_config) ?(cancelled = never_cancelled) ?metric
 (* Phase 2 checking                                                    *)
 (* ------------------------------------------------------------------ *)
 
+(* The phase-2 dedup set. A key carries its history's [History.hash],
+   computed once per execution by the caller, which also folds it into the
+   fingerprint; lookups never rehash. *)
+module Seen = struct
+  module Tbl = Hashtbl.Make (struct
+    type t = int * History.t
+
+    let equal (h1, k1) (h2, k2) = Int.equal h1 h2 && History.equal k1 k2
+    let hash (h, _) = h
+  end)
+
+  type t = unit Tbl.t
+
+  let create n : t = Tbl.create n
+
+  let add t ~hash h =
+    if Tbl.mem t (hash, h) then false
+    else begin
+      Tbl.add t (hash, h) ();
+      true
+    end
+end
+
 (* The Line-Up phase-2 history check, expressed as an analyzer so that the
    pipeline can drive it — alone (a plain [run]) or alongside the §5.6
    comparison checkers ([compare]) — over a single exploration. One state
@@ -233,7 +256,7 @@ type p2_state = {
      so each distinct one is checked once. (Scoped to this state — the
      parallel path may re-check a history that also occurs in another
      partition.) *)
-  seen : (Lineup_history.Event.t list * bool, unit) Hashtbl.t;
+  seen : Seen.t;
 }
 
 let p2_init () =
@@ -250,13 +273,10 @@ let p2_init () =
     m_direct = 0;
     m_fallbacks = 0;
     fp_acc = 0;
-    seen = Hashtbl.create 256;
+    seen = Seen.create 256;
   }
 
 let fp_mask = 0x3FFF_FFFF_FFFF (* 46 bits: summable without overflow on 63-bit ints *)
-
-let history_fingerprint h =
-  Hashtbl.hash_param 256 256 (History.events h, History.is_stuck h) land fp_mask
 
 (* Membership of one distinct history. The spec-specialized path
    ([Spec_check]) only consumes the history — the fingerprint is recorded
@@ -272,19 +292,18 @@ let history_fingerprint h =
 let trace_hist_counter = Atomic.make 0
 
 let p2_step config ~observation ~spec ~init st (r : Harness.run_result) =
+  let hash = History.hash r.history in
   match exception_of r.outcome with
   | Some v ->
     st.found <- Some v;
     `Done
-  | None
-    when config.dedup_histories
-         && Hashtbl.mem st.seen (History.events r.history, History.is_stuck r.history) ->
+  | None when config.dedup_histories && not (Seen.add st.seen ~hash r.history) ->
+    (* a history seen for the first time is recorded by the test itself *)
     st.dedup_hits <- st.dedup_hits + 1;
     `Continue
   | None ->
-    Hashtbl.replace st.seen (History.events r.history, History.is_stuck r.history) ();
     st.histories <- st.histories + 1;
-    st.fp_acc <- (st.fp_acc + history_fingerprint r.history) land fp_mask;
+    st.fp_acc <- (st.fp_acc + (hash land fp_mask)) land fp_mask;
     (* Emit each distinct complete history's events before deciding it, so
        a rejecting history is always in the trace and [lineup monitor
        --replay] on the trace file reproduces the verdict (the CI
@@ -370,7 +389,7 @@ let p2_merge a b =
     m_direct = a.m_direct + b.m_direct;
     m_fallbacks = a.m_fallbacks + b.m_fallbacks;
     fp_acc = (a.fp_acc + b.fp_acc) land fp_mask;
-    seen = Hashtbl.create 1;
+    seen = Seen.create 1;
   }
 
 let p2_counters st =
@@ -499,7 +518,7 @@ let run_partition ?(config = default_config) ?(cancelled = never_cancelled) ~obs
   in
   {
     pp_index = index;
-    pp_state = { st with seen = Hashtbl.create 1 };
+    pp_state = { st with seen = Seen.create 1 };
     pp_stats = stats;
     pp_done = !done_;
     pp_interrupted = !interrupted;

@@ -216,6 +216,21 @@ val run :
   Test_matrix.t ->
   result
 
+(** The phase-2 dedup set: phase 2 checks each distinct history once. Its
+    buckets are keyed by {!Lineup_history.History.hash}, which the caller
+    computes once per execution and also adds into the
+    [histories_fingerprint] counter. *)
+module Seen : sig
+  type t
+
+  val create : int -> t
+
+  (** [add seen ~hash h] records [h], whose [History.hash] is [hash]. It
+      returns [false], and records nothing, when [h] is already in
+      [seen]. *)
+  val add : t -> hash:int -> Lineup_history.History.t -> bool
+end
+
 (** {1 Multi-process sharding}
 
     The building blocks of [lineup shard-server]/[shard-worker]

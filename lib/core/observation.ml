@@ -3,7 +3,6 @@ module Invocation = Lineup_history.Invocation
 module History = Lineup_history.History
 module Serial_history = Lineup_history.Serial_history
 module Witness = Lineup_history.Witness
-module Op = Lineup_history.Op
 
 (* ------------------------------------------------------------------ *)
 (* Determinism trie                                                    *)
@@ -82,13 +81,18 @@ let trie_insert root (s : Serial_history.t) =
 (* Observation sets                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type key = (int * (Invocation.t * Value.t option) list) list
+module Key_table = Serial_history.Key_table
 
+(* Serial histories indexed by thread key, each prepared as a witness
+   candidate once, when it is added. Eagerly, not lazily: phase-2 domains
+   share the observation read-only, and two domains forcing one lazy value
+   at once would raise. Within a bucket the most recently added history
+   comes first. *)
 type t = {
   mutable full : Serial_history.Set.t;
   mutable stuck : Serial_history.Set.t;
-  full_index : (key, Serial_history.t list ref) Hashtbl.t;
-  stuck_index : (key, Serial_history.t list ref) Hashtbl.t;
+  full_index : Witness.candidate list ref Key_table.t;
+  stuck_index : Witness.candidate list ref Key_table.t;
   trie : node;
 }
 
@@ -96,16 +100,17 @@ let create () =
   {
     full = Serial_history.Set.empty;
     stuck = Serial_history.Set.empty;
-    full_index = Hashtbl.create 64;
-    stuck_index = Hashtbl.create 16;
+    full_index = Key_table.create 64;
+    stuck_index = Key_table.create 16;
     trie = new_node ();
   }
 
 let index_add index s =
   let key = Serial_history.thread_key s in
-  match Hashtbl.find_opt index key with
-  | Some l -> l := s :: !l
-  | None -> Hashtbl.replace index key (ref [ s ])
+  let c = Witness.candidate s in
+  match Key_table.find_opt index key with
+  | Some l -> l := c :: !l
+  | None -> Key_table.replace index key (ref [ c ])
 
 let add obs s =
   let set = if Serial_history.is_stuck s then obs.stuck else obs.full in
@@ -129,25 +134,17 @@ let num_stuck obs = Serial_history.Set.cardinal obs.stuck
 let full_histories obs = Serial_history.Set.elements obs.full
 let stuck_histories obs = Serial_history.Set.elements obs.stuck
 
-let history_key h : key =
-  let ops = History.ops h in
-  let tbl : (int, (Invocation.t * Value.t option) list) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun (op : Op.t) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt tbl op.tid) in
-      Hashtbl.replace tbl op.tid ((op.inv, op.resp) :: l))
-    ops;
-  Hashtbl.fold (fun tid l acc -> (tid, List.rev l) :: acc) tbl []
-  |> List.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2)
-
+(* Every candidate in the bucket already has the history's thread key
+   (condition 2), so a probe checks the real-time order alone. *)
 let find_in ?probes index h =
-  match Hashtbl.find_opt index (history_key h) with
+  let q = Witness.prepare h in
+  match Key_table.find_opt index (Witness.key q) with
   | None -> None
   | Some candidates ->
-    List.find_opt
-      (fun serial ->
+    List.find_map
+      (fun c ->
         (match probes with Some p -> incr p | None -> ());
-        Witness.is_witness ~serial h)
+        if Witness.respects_order c q then Some (Witness.serial c) else None)
       !candidates
 
 let find_witness_full ?probes obs h = find_in ?probes obs.full_index h

@@ -4,11 +4,9 @@ module Event = Lineup_history.Event
 module History = Lineup_history.History
 module Serial_history = Lineup_history.Serial_history
 
-type key = (int * (Invocation.t * Value.t option) list) list
-
 (* Operation ids are assigned per section: threads in ascending id order,
    operations in per-thread order, numbered from 1. *)
-let id_map (key : key) =
+let id_map (key : Serial_history.thread_key) =
   let tbl : (int * int, int) Hashtbl.t = Hashtbl.create 16 in
   let next = ref 1 in
   List.iter
@@ -31,7 +29,7 @@ let tid_of_thread_label s =
   if String.length s = 1 then letter
   else letter + (26 * int_of_string (String.sub s 1 (String.length s - 1)))
 
-let group_to_xml ~(key : key) ~interleavings =
+let group_to_xml ~(key : Serial_history.thread_key) ~interleavings =
   let ids = id_map key in
   let thread_elems =
     List.map
@@ -89,30 +87,23 @@ let interleaving_tokens_keyed ids h =
   let tokens = if History.is_stuck h then tokens @ [ "#" ] else tokens in
   String.concat " " tokens
 
-let history_key h : key =
-  let tbl : (int, (Invocation.t * Value.t option) list) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun (op : Lineup_history.Op.t) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt tbl op.tid) in
-      Hashtbl.replace tbl op.tid ((op.inv, op.resp) :: l))
-    (History.ops h);
-  Hashtbl.fold (fun tid l acc -> (tid, List.rev l) :: acc) tbl []
-  |> List.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2)
-
-let interleaving_tokens h = interleaving_tokens_keyed (id_map (history_key h)) h
+let interleaving_tokens h =
+  interleaving_tokens_keyed (id_map (Serial_history.ops_thread_key (History.ops h))) h
 
 let to_xml ?(root_attrs = []) obs =
-  let groups : (key, Serial_history.t list ref) Hashtbl.t = Hashtbl.create 64 in
+  let groups : Serial_history.t list ref Serial_history.Key_table.t =
+    Serial_history.Key_table.create 64
+  in
   let insert s =
     let key = Serial_history.thread_key s in
-    match Hashtbl.find_opt groups key with
+    match Serial_history.Key_table.find_opt groups key with
     | Some l -> l := s :: !l
-    | None -> Hashtbl.replace groups key (ref [ s ])
+    | None -> Serial_history.Key_table.replace groups key (ref [ s ])
   in
   List.iter insert (Observation.full_histories obs);
   List.iter insert (Observation.stuck_histories obs);
   let sections =
-    Hashtbl.fold
+    Serial_history.Key_table.fold
       (fun key histories acc ->
         let ids = id_map key in
         let interleavings =

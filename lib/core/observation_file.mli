@@ -49,15 +49,10 @@ val observation_of_histories :
     [key] gives each thread's operation sequence, [interleavings] the token
     strings of its histories. Exposed for {!Report}. *)
 val group_to_xml :
-  key:(int * (Lineup_history.Invocation.t * Lineup_value.Value.t option) list) list ->
+  key:Lineup_history.Serial_history.thread_key ->
   interleavings:string list ->
   Xml.t
 
 (** Interleaving token string of an arbitrary history, with operation ids
     assigned per-thread as in the section's op table (not call order). *)
 val interleaving_tokens : Lineup_history.History.t -> string
-
-(** The section grouping key of a history: per-thread operation sequences. *)
-val history_key :
-  Lineup_history.History.t ->
-  (int * (Lineup_history.Invocation.t * Lineup_value.Value.t option) list) list

@@ -4,7 +4,7 @@ module Op = Lineup_history.Op
 module Explore = Lineup_scheduler.Explore
 
 let pp_history_section ppf h =
-  let key = Observation_file.history_key h in
+  let key = Serial_history.ops_thread_key (History.ops h) in
   let xml =
     Observation_file.group_to_xml ~key
       ~interleavings:[ Observation_file.interleaving_tokens h ]

@@ -143,6 +143,11 @@ let prefixes h =
 let equal h1 h2 =
   Bool.equal h1.stuck h2.stuck && List.equal Event.equal h1.events h2.events
 
+(* Full depth: [Hashtbl.hash] reads only the first 10 meaningful words, so
+   the histories of one test, which share their first events, would all
+   hash alike. *)
+let hash h = Hashtbl.hash_param 256 256 (h.events, h.stuck)
+
 let pp ppf h =
   Fmt.pf ppf "@[<v>%a%s@]"
     (Fmt.list ~sep:Fmt.cut Event.pp)

@@ -56,6 +56,12 @@ val restrict_to_pending : t -> Op.t -> t
 val prefixes : t -> t list
 
 val equal : t -> t -> bool
+
+(** [hash h] is a structural hash of the events and the stuck flag of [h],
+    [Hashtbl.hash_param 256 256]: it reads up to 256 values of [h] where
+    [Hashtbl.hash] stops at 10, so histories sharing their first events
+    still hash apart. Equal histories hash alike. *)
+val hash : t -> int
 val pp : Format.formatter -> t -> unit
 
 (** Pretty-print in the interleaving notation of Fig. 7: each operation gets

@@ -80,16 +80,46 @@ let of_history h =
     go [] (History.events h)
   end
 
-let thread_key s =
-  let tbl : (int, (Invocation.t * Value.t option) list) Hashtbl.t = Hashtbl.create 7 in
-  let push tid x =
-    let l = Option.value ~default:[] (Hashtbl.find_opt tbl tid) in
-    Hashtbl.replace tbl tid (x :: l)
+type thread_key = (int * (Invocation.t * Value.t option) list) list
+
+(* Group [(tid, x)] items by thread, each thread's items in their original
+   order, threads ascending. The one grouping behind both keys below, so a
+   serial history and a concurrent one agree on a key by construction. *)
+let group_by_thread items =
+  let rec go acc = function
+    | [] -> List.rev_map (fun (tid, xs) -> tid, List.rev xs) acc
+    | (tid, x) :: rest -> (
+      match acc with
+      | (t, xs) :: acc' when t = tid -> go ((t, x :: xs) :: acc') rest
+      | _ -> go ((tid, [ x ]) :: acc) rest)
   in
-  List.iter (fun e -> push e.tid (e.inv, Some e.resp)) s.entries;
-  (match s.stuck with None -> () | Some (tid, inv) -> push tid (inv, None));
-  Hashtbl.fold (fun tid l acc -> (tid, List.rev l) :: acc) tbl []
-  |> List.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2)
+  go [] (List.stable_sort (fun (t1, _) (t2, _) -> Int.compare t1 t2) items)
+
+let thread_key s =
+  let stuck = match s.stuck with None -> [] | Some (tid, inv) -> [ tid, (inv, None) ] in
+  group_by_thread (List.map (fun e -> e.tid, (e.inv, Some e.resp)) s.entries @ stuck)
+
+let ops_thread_key ops =
+  group_by_thread (List.map (fun (op : Op.t) -> op.tid, (op.inv, op.resp)) ops)
+
+let thread_key_equal k1 k2 =
+  List.equal
+    (fun (t1, l1) (t2, l2) ->
+      t1 = t2
+      && List.equal
+           (fun (i1, r1) (i2, r2) -> Invocation.equal i1 i2 && Option.equal Value.equal r1 r2)
+           l1 l2)
+    k1 k2
+
+(* Keys are hashed at full depth: [Hashtbl.hash] reads only the first 10
+   meaningful words, so keys of the same test sharing their first
+   operations would share a bucket. *)
+module Key_table = Hashtbl.Make (struct
+  type t = thread_key
+
+  let equal = thread_key_equal
+  let hash (k : t) = Hashtbl.hash_param 256 256 k
+end)
 
 let nondeterministic_pair s1 s2 =
   (* Walk the completed-operation prefixes in parallel; report true exactly

@@ -32,10 +32,26 @@ val to_history : t -> History.t
     serial (or is stuck with pending operations not in final position). *)
 val of_history : History.t -> t option
 
-(** [thread_key s] is the grouping key of the observation-file format
-    (Fig. 7): for each thread, its sequence of operations — invocation,
-    response, and whether the final one is blocked. Threads sorted by id. *)
-val thread_key : t -> (int * (Invocation.t * Lineup_value.Value.t option) list) list
+(** Per-thread operation sequences: for each thread, its invocations in
+    order, each with its response ([None] for a pending or blocked call).
+    Threads sorted by id. This is the grouping key of the observation-file
+    format (Fig. 7) and of the phase-2 witness search. *)
+type thread_key = (int * (Invocation.t * Lineup_value.Value.t option) list) list
+
+(** [thread_key s] is the thread key of [s]; its blocked final call, if any,
+    has no response. *)
+val thread_key : t -> thread_key
+
+(** [ops_thread_key ops] is the thread key of a history with operations
+    [ops] (as listed by {!History.ops}). A serial history and the concurrent
+    history it witnesses have equal keys (condition 2 of the witness
+    definition). *)
+val ops_thread_key : Op.t list -> thread_key
+
+val thread_key_equal : thread_key -> thread_key -> bool
+
+(** Hash tables keyed by thread keys, hashed at full depth. *)
+module Key_table : Hashtbl.S with type key = thread_key
 
 (** [nondeterministic_pair s1 s2] decides whether the two serial histories
     witness nondeterminism (Section 2.1.2, extended to stuck histories in

@@ -1,28 +1,3 @@
-module Value = Lineup_value.Value
-
-(* Per-thread operation sequences of a history: invocation and (optional)
-   response per operation, in per-thread order. *)
-let history_thread_key h =
-  let ops = History.ops h in
-  let tbl : (int, (Invocation.t * Value.t option) list) Hashtbl.t = Hashtbl.create 7 in
-  List.iter
-    (fun (op : Op.t) ->
-      let l = Option.value ~default:[] (Hashtbl.find_opt tbl op.tid) in
-      Hashtbl.replace tbl op.tid ((op.inv, op.resp) :: l))
-    ops;
-  Hashtbl.fold (fun tid l acc -> (tid, List.rev l) :: acc) tbl []
-  |> List.sort (fun (t1, _) (t2, _) -> Int.compare t1 t2)
-
-let keys_equal k1 k2 =
-  List.equal
-    (fun (t1, l1) (t2, l2) ->
-      t1 = t2
-      && List.equal
-           (fun (i1, r1) (i2, r2) ->
-             Invocation.equal i1 i2 && Option.equal Value.equal r1 r2)
-           l1 l2)
-    k1 k2
-
 (* Position of each operation of [serial] in its linear order, keyed by
    (tid, per-thread index). A stuck pending call sits after all entries. *)
 let serial_positions (serial : Serial_history.t) =
@@ -44,12 +19,14 @@ let serial_positions (serial : Serial_history.t) =
   tbl
 
 let is_witness ~serial h =
+  let ops = History.ops h in
   (* Condition 2: identical thread subhistories (as operation sequences). *)
-  keys_equal (Serial_history.thread_key serial) (history_thread_key h)
+  Serial_history.thread_key_equal
+    (Serial_history.thread_key serial)
+    (Serial_history.ops_thread_key ops)
   &&
   (* Condition 3: <H ⊆ <S. *)
   let pos = serial_positions serial in
-  let ops = History.ops h in
   List.for_all
     (fun (e1 : Op.t) ->
       List.for_all
@@ -78,3 +55,74 @@ let linearizable_stuck ~specs h =
   match List.find_opt (fun e -> not (justified e)) pending with
   | None -> Ok ()
   | Some e -> Error e
+
+(* ------------------------------------------------------------------ *)
+(* Prepared search                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* The phase-2 form of the same check, tested against [is_witness]: the
+   work that does not depend on the pair is done once per history and once
+   per serial history instead of once per probe.
+
+   Operation slots: the operations of a thread key are numbered thread by
+   thread, in key order, so operation [i] of thread [tid] has slot
+   [offset tid + i]. Histories with equal thread keys number their
+   operations alike, which lets a history and a serial history of its key
+   exchange slot indices without any per-operation lookup. *)
+let slot_of (key : Serial_history.thread_key) =
+  let offsets, _ =
+    List.fold_left (fun (acc, n) (tid, ops) -> (tid, n) :: acc, n + List.length ops) ([], 0) key
+  in
+  fun tid i -> List.assoc tid offsets + i
+
+type candidate = {
+  serial : Serial_history.t;
+  positions : int array;  (* slot -> position in the linear order *)
+}
+
+(* A stuck pending call sits after all entries. *)
+let candidate (serial : Serial_history.t) =
+  let key = Serial_history.thread_key serial in
+  let slot = slot_of key in
+  let next = List.map (fun (tid, _) -> tid, ref 0) key in
+  let positions = Array.make (Serial_history.num_ops serial) 0 in
+  let place pos tid =
+    let i = List.assoc tid next in
+    positions.(slot tid !i) <- pos;
+    incr i
+  in
+  List.iteri (fun pos (e : Serial_history.entry) -> place pos e.tid) serial.entries;
+  Option.iter (fun (tid, _) -> place (List.length serial.entries) tid) serial.stuck;
+  { serial; positions }
+
+let serial c = c.serial
+
+type query = {
+  key : Serial_history.thread_key;
+  before : int array;  (* slot pairs [a; b]: operation a returns before b is called *)
+}
+
+let prepare h =
+  let ops = History.ops h in
+  let key = Serial_history.ops_thread_key ops in
+  let slot = slot_of key in
+  let slot_op (op : Op.t) = slot op.tid op.op_index in
+  let pairs =
+    List.concat_map
+      (fun e1 ->
+        List.concat_map
+          (fun e2 -> if Op.precedes e1 e2 then [ slot_op e1; slot_op e2 ] else [])
+          ops)
+      ops
+  in
+  { key; before = Array.of_list pairs }
+
+let key q = q.key
+
+(* Condition 3 on slot positions. *)
+let respects_order c q =
+  let pos = c.positions and before = q.before in
+  let rec go i =
+    i >= Array.length before || (pos.(before.(i)) < pos.(before.(i + 1)) && go (i + 2))
+  in
+  go 0

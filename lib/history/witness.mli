@@ -13,6 +13,34 @@
     history has at most one pending call, in final position. *)
 val is_witness : serial:Serial_history.t -> History.t -> bool
 
+(** {2 Prepared search}
+
+    A witness search probes many serial histories against one history.
+    The pieces below do the per-history and per-serial-history work once:
+    a {!query} holds the history's thread key and its real-time order, a
+    {!candidate} the linear positions of a serial history's operations. *)
+
+(** A serial history with the position of each of its operations. *)
+type candidate
+
+val candidate : Serial_history.t -> candidate
+val serial : candidate -> Serial_history.t
+
+(** A history prepared for a witness search. *)
+type query
+
+val prepare : History.t -> query
+
+(** The thread key of the prepared history (see
+    {!Serial_history.ops_thread_key}). *)
+val key : query -> Serial_history.thread_key
+
+(** [respects_order c q] checks condition 3 only. It is meaningful only
+    when the thread keys of [c] and [q] are equal, for instance because
+    [c] was found under [key q] in a {!Serial_history.Key_table}: then it
+    holds exactly when [serial c] is a witness for the prepared history. *)
+val respects_order : candidate -> query -> bool
+
 (** [linearizable_full ~specs h] — Definition 1 for complete histories: some
     serial history in [specs] is a witness for [h]. *)
 val linearizable_full : specs:Serial_history.t list -> History.t -> bool

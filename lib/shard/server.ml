@@ -65,7 +65,12 @@ let serve ~config ~listen ~local ~halt_after ~max_retries ~dir ~fingerprint ~(st
   (match sockaddr with
    | Unix.ADDR_UNIX p when Sys.file_exists p -> ( try Unix.unlink p with Unix.Unix_error _ -> ())
    | _ -> ());
-  let lsock = Unix.socket (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0 in
+  (* Close-on-exec: a spawned worker that inherited the listening socket
+     would keep it open after the server closes it, so a late worker's
+     connection could sit in its backlog with nobody to accept it. *)
+  let lsock =
+    Unix.socket ~cloexec:true (Unix.domain_of_sockaddr sockaddr) Unix.SOCK_STREAM 0
+  in
   Unix.setsockopt lsock Unix.SO_REUSEADDR true;
   Unix.bind lsock sockaddr;
   Unix.listen lsock 64;
@@ -193,8 +198,13 @@ let serve ~config ~listen ~local ~halt_after ~max_retries ~dir ~fingerprint ~(st
   (match sockaddr with
    | Unix.ADDR_UNIX p -> ( try Unix.unlink p with Unix.Unix_error _ | Sys_error _ -> ())
    | _ -> ());
+  (* A local worker still running is either on a partition nobody needs
+     now or still retrying its connect to the closed socket (about 5 s):
+     stop it instead of waiting for it. *)
   List.iter
-    (fun pid -> try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
+    (fun pid ->
+      (try Unix.kill pid Sys.sigterm with Unix.Unix_error _ -> ());
+      try ignore (Unix.waitpid [] pid) with Unix.Unix_error _ -> ())
     !live_children;
   match !outcome with
   | Some msg -> Error msg

@@ -47,8 +47,35 @@ let merge_intervals ivs =
 let fully_covered merged ~lo ~hi =
   List.exists (fun (mlo, mhi) -> mlo <= lo && hi <= mhi) merged
 
+(* The supported fragment: complete operations of the insert/remove
+   vocabulary over integer values, each value inserted at most once. It is
+   decided over the whole history before any verdict, so [Unsupported] does
+   not depend on operation order: a reject fired on the first operations
+   could otherwise precede, say, the second insert of a value it assumed
+   unique — a false alarm. *)
+let check_fragment ~insert_name ~remove_names ops =
+  let inserted : (int, unit) Hashtbl.t = Hashtbl.create 16 in
+  List.iter
+    (fun (op : Op.t) ->
+      if Option.is_none op.resp then unsupported "pending operation";
+      let name = op.inv.Invocation.name in
+      if String.equal name insert_name then begin
+        match op.inv.Invocation.arg with
+        | Value.Int v ->
+          if Hashtbl.mem inserted v then unsupported "ambiguous: value inserted twice";
+          Hashtbl.add inserted v ()
+        | _ -> unsupported "non-integer %s argument" insert_name
+      end
+      else if List.mem name remove_names then begin
+        match op.inv.Invocation.arg with
+        | Value.Unit -> ()
+        | _ -> unsupported "unexpected %s argument" name
+      end
+      else unsupported "unsupported operation %s" name)
+    ops
+
 (* Shared classification state: per value, its insert and remove operation.
-   Unambiguity means each value is inserted at most once; a value removed
+   Inside the fragment each value is inserted at most once; a value removed
    twice, or removed but never inserted, has no serial explanation. *)
 type pair = {
   mutable ins : Op.t option;
@@ -56,6 +83,8 @@ type pair = {
 }
 
 let classify ~insert_name ~remove_names ~remove_may_fail h =
+  let ops = History.ops h in
+  check_fragment ~insert_name ~remove_names ops;
   let pairs : (Value.t, pair) Hashtbl.t = Hashtbl.create 16 in
   let empties = ref [] in
   let pair_of v =
@@ -68,38 +97,23 @@ let classify ~insert_name ~remove_names ~remove_may_fail h =
   in
   List.iter
     (fun (op : Op.t) ->
-      let resp =
-        match op.resp with
-        | Some r -> r
-        | None -> unsupported "pending operation"
-      in
-      let name = op.inv.Invocation.name in
-      if String.equal name insert_name then begin
-        (match op.inv.Invocation.arg with
-         | Value.Int _ -> ()
-         | _ -> unsupported "non-integer %s argument" insert_name);
+      let resp = Option.get op.resp in
+      if String.equal op.inv.Invocation.name insert_name then begin
         if not (Value.equal resp Value.unit) then reject ();
-        let p = pair_of op.inv.Invocation.arg in
-        (match p.ins with
-         | Some _ -> unsupported "ambiguous: value inserted twice"
-         | None -> p.ins <- Some op)
+        (pair_of op.inv.Invocation.arg).ins <- Some op
       end
-      else if List.mem name remove_names then begin
-        (match op.inv.Invocation.arg with
-         | Value.Unit -> ()
-         | _ -> unsupported "unexpected %s argument" name);
+      else
         match resp with
         | Value.Fail ->
-          if remove_may_fail name then empties := op :: !empties else reject ()
+          if remove_may_fail op.inv.Invocation.name then empties := op :: !empties
+          else reject ()
         | Value.Int _ -> (
           let p = pair_of resp in
           match p.rem with
           | Some _ -> reject () (* value removed twice, inserted at most once *)
           | None -> p.rem <- Some op)
-        | _ -> reject ()
-      end
-      else unsupported "unsupported operation %s" name)
-    (History.ops h);
+        | _ -> reject ())
+    ops;
   let values =
     Hashtbl.fold
       (fun _v p acc ->

@@ -4,6 +4,7 @@ module History = Lineup_history.History
 module Lin_check = Lineup_spec.Lin_check
 module Specs = Lineup_spec.Specs
 module Conc = Lineup_conc
+module Metrics = Lineup_observe.Metrics
 open Lineup
 
 let run ?config adapter cols = Check.run ?config adapter (Test_matrix.make cols)
@@ -146,6 +147,58 @@ let suite =
             [ [ inv_int "Enqueue" 200; inv "TryDequeue" ]; [ inv_int "Enqueue" 400; inv "TryPeek" ] ]
         in
         expect_pass "msq" r);
+    test "capped 3x3 queue: phase-2 counters are pinned" (fun () ->
+        (* The dedup table and the witness search may change how fast phase
+           2 runs, never what it counts: these are the values of the
+           original polymorphic-hash dedup and per-probe witness check. *)
+        let m = Metrics.create () in
+        let config = Check.config_with ~max_executions:(Some 2000) () in
+        let r =
+          Check.run ~config ~metrics:m Conc.Concurrent_queue.correct
+            (Test_matrix.make
+               [
+                 [ inv_int "Enqueue" 1; inv "TryDequeue"; inv "Count" ];
+                 [ inv_int "Enqueue" 2; inv "TryPeek"; inv "TryDequeue" ];
+                 [ inv "TryDequeue"; inv_int "Enqueue" 3; inv "ToArray" ];
+               ])
+        in
+        expect_pass "queue 3x3" r;
+        List.iter
+          (fun (k, v) -> Alcotest.(check int) k v (Metrics.get m ("check.phase2." ^ k)))
+          [
+            "histories_distinct", 100;
+            "dedup_hits", 1900;
+            "witness_probes", 2066;
+            "histories_fingerprint", 46599132707;
+          ]);
+    test "dedup keeps histories that differ past the 10th word apart" (fun () ->
+        let h last =
+          history
+            [
+              call 0 0 "Enqueue" ~arg:(Value.int 1) ();
+              call 1 0 "Enqueue" ~arg:(Value.int 2) ();
+              ret 0 0 Value.unit;
+              ret 1 0 Value.unit;
+              call 0 1 "TryDequeue" ();
+              call 1 1 "TryDequeue" ();
+              ret 0 1 (Value.int 1);
+              ret 1 1 (Value.int last);
+            ]
+        in
+        let h1 = h 2 and h2 = h 3 in
+        let shallow h = Hashtbl.hash (History.events h, History.is_stuck h) in
+        Alcotest.(check int) "the 10-word hash cannot tell them apart" (shallow h1) (shallow h2);
+        Alcotest.(check bool) "History.hash can" true (History.hash h1 <> History.hash h2);
+        let seen = Check.Seen.create 16 in
+        let add h = Check.Seen.add seen ~hash:(History.hash h) h in
+        Alcotest.(check bool) "first is new" true (add h1);
+        Alcotest.(check bool) "second is new" true (add h2);
+        Alcotest.(check bool) "first again is a hit" false (add h1);
+        Alcotest.(check bool) "second again is a hit" false (add h2);
+        (* equal hashes still compare the histories themselves *)
+        let seen = Check.Seen.create 16 in
+        Alcotest.(check bool) "colliding first" true (Check.Seen.add seen ~hash:0 h1);
+        Alcotest.(check bool) "colliding second" true (Check.Seen.add seen ~hash:0 h2));
   ]
 
 let tests = suite

@@ -107,11 +107,39 @@ let monitor_agrees ~name ~cls ~spec ~insert ~remove =
          | _, `Unsupported _ -> false (* tiny histories never overflow *)
          | Monitor.Accept, `Not_linearizable | Monitor.Reject, `Linearizable -> false))
 
+(* Repeated insert values take the history outside the monitors'
+   fragment: they may answer [Unsupported] there, but any verdict they do
+   give must be the oracle's. *)
+let random_repeated_ops rng ~insert ~remove =
+  let n = 2 + Random.State.int rng 5 in
+  List.init n (fun _ ->
+      if Random.State.bool rng then inv_int insert (100 * (1 + Random.State.int rng 2)), Value.unit
+      else
+        let resp =
+          if Random.State.int rng 3 = 0 then Value.Fail
+          else Value.int (100 * (1 + Random.State.int rng 2))
+        in
+        inv remove, resp)
+
+let monitor_sound_on_repeats ~name ~cls ~spec ~insert ~remove =
+  QCheck_alcotest.to_alcotest
+    (QCheck.Test.make ~name ~count:500 seed_arb (fun seed ->
+         let rng = Random.State.make [| seed |] in
+         let h = interleave rng (random_repeated_ops rng ~insert ~remove) in
+         match Monitor.check ~cls h, Lin_check.check_outcome spec h with
+         | Monitor.Unsupported _, _ -> true
+         | Monitor.Accept, `Linearizable | Monitor.Reject, `Not_linearizable -> true
+         | (Monitor.Accept | Monitor.Reject), _ -> false))
+
 let monitor_props =
   [
     monitor_agrees ~name:"queue monitor agrees with the oracle (random histories)"
       ~cls:Spec.Queue ~spec:Specs.queue ~insert:"Enqueue" ~remove:"TryDequeue";
     monitor_agrees ~name:"stack monitor agrees with the oracle (random histories)"
+      ~cls:Spec.Stack ~spec:Specs.stack ~insert:"Push" ~remove:"TryPop";
+    monitor_sound_on_repeats ~name:"queue monitor never contradicts the oracle on repeated values"
+      ~cls:Spec.Queue ~spec:Specs.queue ~insert:"Enqueue" ~remove:"TryDequeue";
+    monitor_sound_on_repeats ~name:"stack monitor never contradicts the oracle on repeated values"
       ~cls:Spec.Stack ~spec:Specs.stack ~insert:"Push" ~remove:"TryPop";
   ]
 
@@ -172,7 +200,45 @@ let monitor_units =
         match Monitor.check_queue h with
         | Monitor.Unsupported _ -> ()
         | _ -> Alcotest.fail "expected Unsupported on a pending op");
+    test "monitor: a value inserted twice is Unsupported, even after a second remove" (fun () ->
+        (* In call order the second dequeue of 400 comes before the second
+           enqueue of 400: the history is linearizable, and "removed twice"
+           must not fire before the repeated insert is seen. *)
+        let events insert remove =
+          [
+            call 0 0 insert ~arg:(Value.int 400) (); ret 0 0 u;
+            call 1 0 remove (); ret 1 0 (Value.int 400);
+            call 1 1 remove ();
+            call 0 1 insert ~arg:(Value.int 400) (); ret 0 1 u;
+            ret 1 1 (Value.int 400);
+          ]
+        in
+        let unsupported = function Monitor.Unsupported _ -> true | _ -> false in
+        let q = history (events "Enqueue" "TryDequeue") in
+        let s = history (events "Push" "TryPop") in
+        Alcotest.(check bool) "queue oracle accepts" true (Lin_check.check Specs.queue q);
+        Alcotest.(check bool) "stack oracle accepts" true (Lin_check.check Specs.stack s);
+        Alcotest.(check bool) "queue Unsupported" true (unsupported (Monitor.check_queue q));
+        Alcotest.(check bool) "stack Unsupported" true (unsupported (Monitor.check_stack s)));
   ]
+
+(* The repeated-value false alarms, end to end under the default [auto]
+   membership: each of these correct classes must pass. *)
+let repeated_value_tests =
+  let queue = [ [ inv_int "Enqueue" 400; inv_int "Enqueue" 400 ]; [ inv "TryDequeue"; inv "TryDequeue" ] ] in
+  let stack = [ [ inv_int "Push" 400; inv_int "Push" 400 ]; [ inv "TryPop"; inv "TryPop" ] ] in
+  List.map
+    (fun (name, adapter, cols) ->
+      test (Fmt.str "auto passes repeated values: %s" name) (fun () ->
+          let r = Check.run adapter (Test_matrix.make cols) in
+          if not (Check.passed r) then
+            Alcotest.failf "%s: expected PASS, got %s" name (Report.summary r)))
+    [
+      "MichaelScottQueue", Conc.Michael_scott_queue.adapter, queue;
+      "ConcurrentQueue", Conc.Concurrent_queue.correct, queue;
+      "SegmentQueue", Conc.Segment_queue.adapter, queue;
+      "ConcurrentStack", Conc.Concurrent_stack.correct, stack;
+    ]
 
 (* ---------------- splitter vs the whole-history oracle ---------------- *)
 
@@ -378,5 +444,5 @@ let minimize_tests =
   ]
 
 let tests =
-  monitor_props @ monitor_units @ pcomp_props @ pcomp_harness_tests @ e2e_tests @ oversize_tests
+  monitor_props @ monitor_units @ repeated_value_tests @ pcomp_props @ pcomp_harness_tests @ e2e_tests @ oversize_tests
   @ minimize_tests

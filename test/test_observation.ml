@@ -98,4 +98,99 @@ let suite =
         | Ok () -> Alcotest.fail "expected unjustified");
   ]
 
-let tests = suite
+(* ---------------- prepared search vs the per-probe check ---------------- *)
+
+(* A random history over 1-3 threads of 1-3 operations each, and serial
+   histories of the same operations: some in an arbitrary order, some in
+   the order of a random linearization point inside each operation's
+   interval (witnesses by construction). All share the history's thread
+   key, so they fill one bucket, most recent first. *)
+let random_search rng =
+  let threads = 1 + Random.State.int rng 3 in
+  let thread_ops =
+    Array.init threads (fun _ ->
+        List.init
+          (1 + Random.State.int rng 3)
+          (fun _ ->
+            ( (if Random.State.bool rng then "A" else "B"),
+              Value.int (Random.State.int rng 3) )))
+  in
+  let next = Array.make threads 0 and in_flight = Array.make threads false in
+  let events = ref [] in
+  let live () =
+    List.filter
+      (fun t -> in_flight.(t) || next.(t) < List.length thread_ops.(t))
+      (List.init threads Fun.id)
+  in
+  let rec walk () =
+    match live () with
+    | [] -> ()
+    | ts ->
+      let t = List.nth ts (Random.State.int rng (List.length ts)) in
+      let name, resp = List.nth thread_ops.(t) next.(t) in
+      if in_flight.(t) then begin
+        events := ret t next.(t) resp :: !events;
+        in_flight.(t) <- false;
+        next.(t) <- next.(t) + 1
+      end
+      else begin
+        events := call t next.(t) name () :: !events;
+        in_flight.(t) <- true
+      end;
+      walk ()
+  in
+  walk ();
+  let h = history (List.rev !events) in
+  let ops = History.ops h in
+  (* operations sorted by a point that increases along each thread *)
+  let serial_of point =
+    List.map (fun op -> point op, op) ops
+    |> List.sort (fun (p1, _) (p2, _) -> Float.compare p1 p2)
+    |> List.map (fun (_, (op : Lineup_history.Op.t)) ->
+           { Serial_history.tid = op.tid; inv = op.inv; resp = Option.get op.resp })
+    |> Serial_history.make
+  in
+  let arbitrary (op : Lineup_history.Op.t) =
+    float_of_int op.op_index +. Random.State.float rng 1.0
+  in
+  let linearized (op : Lineup_history.Op.t) =
+    let width = Option.get op.ret_pos - op.call_pos - 1 in
+    float_of_int op.call_pos +. 0.5 +. Random.State.float rng (float_of_int width)
+  in
+  let serials =
+    List.init (Random.State.int rng 7) (fun _ ->
+        serial_of (if Random.State.bool rng then arbitrary else linearized))
+  in
+  h, serials
+
+let seed_arb = QCheck.make QCheck.Gen.small_signed_int
+
+let prepared_search_props =
+  [
+    QCheck_alcotest.to_alcotest
+      (QCheck.Test.make ~name:"prepared search = find_opt over is_witness (witness and probes)"
+         ~count:500 seed_arb (fun seed ->
+           let rng = Random.State.make [| seed |] in
+           let h, serials = random_search rng in
+           let obs = Observation.create () in
+           let bucket =
+             List.fold_left
+               (fun bucket s ->
+                 add_ok obs s;
+                 if List.exists (Serial_history.equal s) bucket then bucket else s :: bucket)
+               [] serials
+           in
+           let probes = ref 0 in
+           let got = Observation.find_witness_full ~probes obs h in
+           let ref_probes = ref 0 in
+           let want =
+             List.find_opt
+               (fun serial ->
+                 incr ref_probes;
+                 Lineup_history.Witness.is_witness ~serial h)
+               bucket
+           in
+           Option.equal Serial_history.equal got want && !probes = !ref_probes));
+  ]
+
+let tests = suite @ prepared_search_props
