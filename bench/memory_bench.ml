@@ -9,8 +9,9 @@
 
    Both weak configurations run at preemption bound 1 with --por, the
    same budget the test suite uses: the seeded bug needs exactly one
-   preemption, and exhausting the fenced protocol at the default bound
-   takes minutes (every spin iteration is a choice point). *)
+   preemption, and the default bound costs the fenced protocol about 3×
+   as many executions under tso (362 496, about 10 s on a 2-vCPU
+   container). *)
 
 open Bench_common
 module Explore = Lineup_scheduler.Explore

@@ -2,8 +2,10 @@
 
    Two contenders guard a plain (non-atomic) counter with Peterson's
    two-thread mutual-exclusion protocol: raise my flag, yield the turn,
-   then spin until the other flag is down or the turn is mine. The
-   protocol's correctness hinges on the store→load ordering between
+   then spin until the other flag is down or the turn is mine (an
+   [Rt.spin_while]: an iteration that finds both unchanged waits for one
+   of them to change instead of re-reading them). The protocol's
+   correctness hinges on the store→load ordering between
    "flag[me] := true" and the read of flag[other] — exactly the ordering
    TSO store buffers break — and, under PSO, additionally on the
    store→store ordering between "flag[me] := true" and "turn := other"
@@ -42,9 +44,7 @@ let make_adapter ~fenced name =
          flag[me] above. Volatile is not enough (stores still buffer); only
          a full fence orders a store before a later load on TSO. *)
       if fenced then Rt.fence ();
-      while Var_array.read flag other && Var.read turn = other do
-        Rt.yield ()
-      done
+      Rt.spin_while (fun () -> Var_array.read flag other && Var.read turn = other)
     in
     let leave me =
       (* Release: the protected count store must be visible before the

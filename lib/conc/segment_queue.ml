@@ -59,11 +59,7 @@ let adapter =
     in
     (* wait for a reserved slot to be committed; the reserving enqueuer is
        guaranteed to commit, so this terminates under fair scheduling *)
-    let await_commit s i =
-      while not (Var_array.read s.committed i) do
-        Rt.yield ()
-      done
-    in
+    let await_commit s i = Rt.spin_while (fun () -> not (Var_array.read s.committed i)) in
     let rec try_dequeue () =
       let s = Var.read head in
       let i = Var.read s.low in
@@ -110,7 +106,11 @@ let adapter =
     in
     let is_empty () =
       let s = Var.read head in
-      Var.read s.low >= Var.read s.high && Option.is_none (Var.read s.next)
+      (* [low] before [high]: both only grow, so low >= high at the later
+         read of high means the segment was empty when low was read. (The
+         operands of [>=] would be read right to left.) *)
+      let low = Var.read s.low in
+      low >= Var.read s.high && Option.is_none (Var.read s.next)
     in
     let invoke (i : Invocation.t) =
       match i.name, i.arg with

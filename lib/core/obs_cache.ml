@@ -4,8 +4,10 @@ module Metrics = Lineup_observe.Metrics
 
 (* Bumped whenever the on-disk format or the key scheme changes; stamped
    into both the file name and the root element, so files written by an
-   older scheme are never silently reused. *)
-let format_version = 2
+   older scheme are never silently reused. Version 3: histories are listed
+   in insertion order, which fixes the order the witness search probes
+   them in (version-2 files listed them sorted). *)
+let format_version = 3
 
 let test_key (test : Test_matrix.t) =
   let col invs = String.concat ";" (List.map Invocation.to_string invs) in

@@ -87,10 +87,14 @@ module Key_table = Serial_history.Key_table
    candidate once, when it is added. Eagerly, not lazily: phase-2 domains
    share the observation read-only, and two domains forcing one lazy value
    at once would raise. Within a bucket the most recently added history
-   comes first. *)
+   comes first. [full_order]/[stuck_order] keep the histories newest first:
+   an observation file lists them in insertion order, so a set rebuilt from
+   the file probes its buckets in the same order as the original. *)
 type t = {
   mutable full : Serial_history.Set.t;
   mutable stuck : Serial_history.Set.t;
+  mutable full_order : Serial_history.t list;
+  mutable stuck_order : Serial_history.t list;
   full_index : Witness.candidate list ref Key_table.t;
   stuck_index : Witness.candidate list ref Key_table.t;
   trie : node;
@@ -100,6 +104,8 @@ let create () =
   {
     full = Serial_history.Set.empty;
     stuck = Serial_history.Set.empty;
+    full_order = [];
+    stuck_order = [];
     full_index = Key_table.create 64;
     stuck_index = Key_table.create 16;
     trie = new_node ();
@@ -118,10 +124,12 @@ let add obs s =
   else begin
     if Serial_history.is_stuck s then begin
       obs.stuck <- Serial_history.Set.add s obs.stuck;
+      obs.stuck_order <- s :: obs.stuck_order;
       index_add obs.stuck_index s
     end
     else begin
       obs.full <- Serial_history.Set.add s obs.full;
+      obs.full_order <- s :: obs.full_order;
       index_add obs.full_index s
     end;
     match trie_insert obs.trie s with
@@ -131,8 +139,8 @@ let add obs s =
 
 let num_full obs = Serial_history.Set.cardinal obs.full
 let num_stuck obs = Serial_history.Set.cardinal obs.stuck
-let full_histories obs = Serial_history.Set.elements obs.full
-let stuck_histories obs = Serial_history.Set.elements obs.stuck
+let full_histories obs = List.rev obs.full_order
+let stuck_histories obs = List.rev obs.stuck_order
 
 (* Every candidate in the bucket already has the history's thread key
    (condition 2), so a probe checks the real-time order alone. *)

@@ -25,7 +25,13 @@ val add :
 
 val num_full : t -> int
 val num_stuck : t -> int
+
+(** The full (resp. stuck) serial histories in the order they were first
+    added. {!Observation_file} writes them in this order, so an observation
+    set rebuilt from its file (a shard worker's, a cache hit's) examines
+    witness candidates in the same order as the set it was written from. *)
 val full_histories : t -> Lineup_history.Serial_history.t list
+
 val stuck_histories : t -> Lineup_history.Serial_history.t list
 
 (** [find_witness_full ?probes obs h] searches [A] for a serial witness of

@@ -38,6 +38,7 @@ type state = {
   mutable memory : Memory_model.t;
   mutable units : flush_unit array;
   mutable n_units : int;
+  mutable rmw_failed : bool;
 }
 
 let key =
@@ -50,6 +51,7 @@ let key =
         memory = Memory_model.Sc;
         units = [||];
         n_units = 0;
+        rmw_failed = false;
       })
 
 let state () = Domain.DLS.get key
@@ -138,6 +140,15 @@ let buffers_all_empty () =
   let s = state () in
   let rec go i = i >= s.n_units || (Queue.is_empty s.units.(i).fu_q && go (i + 1)) in
   go 0
+
+let note_failed_rmw () = (state ()).rmw_failed <- true
+
+let take_failed_rmw () =
+  let s = state () in
+  let failed = s.rmw_failed in
+  s.rmw_failed <- false;
+  failed
+
 let set_logging b = (state ()).logging <- b
 let logging_enabled () = (state ()).logging
 

@@ -84,6 +84,20 @@ val buffer_empty : int -> bool
 (** No pending buffered stores in any unit. Always true under [Sc]. *)
 val buffers_all_empty : unit -> bool
 
+(** {2 Failed read-modify-writes}
+
+    A scheduling point tells the scheduler which location a
+    read-modify-write touches, not whether it wrote. [note_failed_rmw ()]
+    records that the current step's read-modify-write left its location
+    unchanged (a CAS whose comparison failed); {!take_failed_rmw} returns
+    and clears that mark. The explorer clears the mark before a spin-wait
+    body's RMW step and takes it when the step has run, so an RMW that
+    never calls [note_failed_rmw] (a lock operation, a successful CAS) is
+    taken to have written. *)
+
+val note_failed_rmw : unit -> unit
+val take_failed_rmw : unit -> bool
+
 (** Access logging is off by default (exploration-speed); the comparison
     checkers enable it. *)
 val set_logging : bool -> unit

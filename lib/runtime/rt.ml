@@ -9,11 +9,14 @@ type sched_reason =
       volatile : bool;
     }
 
+type spin_point = Spin_enter | Spin_retry | Spin_exit
+
 type _ Effect.t +=
   | Sched : sched_reason -> unit Effect.t
   | Block : (unit -> bool) * string * Footprint.t -> unit Effect.t
   | Choose : int * string -> int Effect.t
   | Yield : unit Effect.t
+  | Spin : spin_point -> unit Effect.t
 
 let sched r =
   Effect.perform (Sched r);
@@ -40,6 +43,14 @@ let block ?(footprint = Footprint.unknown) ~wake what =
   if not (wake ()) then Effect.perform (Block (wake, what, footprint))
 let choose ?(what = "choice") n = Effect.perform (Choose (n, what))
 let yield () = Effect.perform Yield
+
+let spin_while cond =
+  Effect.perform (Spin Spin_enter);
+  while cond () do
+    Effect.perform (Spin Spin_retry)
+  done;
+  Effect.perform (Spin Spin_exit)
+
 let self () = Exec_ctx.current_tid ()
 
 let run_inline (type a) (f : unit -> a) : a =
@@ -59,5 +70,6 @@ let run_inline (type a) (f : unit -> a) : a =
                 else failwith ("Rt.run_inline: blocked on " ^ what))
           | Choose (_, _) -> Some (fun (k : (b, a) continuation) -> continue k 0)
           | Yield -> Some (fun (k : (b, a) continuation) -> continue k ())
+          | Spin _ -> Some (fun (k : (b, a) continuation) -> continue k ())
           | _ -> None);
     }

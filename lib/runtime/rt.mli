@@ -35,7 +35,12 @@
     - {!yield} marks a spin-loop iteration; the fair scheduler will not run
       the yielding thread again until another enabled thread has run (the
       fairness of Musuvathi & Qadeer 2008, which the paper relies on for
-      spin-loop-based implementations). *)
+      spin-loop-based implementations).
+    - {!spin_while} is a spin-wait whose iterations the scheduler can see
+      whole: an iteration that only read, and whose reads are all still
+      current when it ends, blocks the thread until one of them changes
+      instead of yielding (spin-assume; Kokologiannakis, Ren & Vafeiadis,
+      FMCAD 2021). *)
 
 type sched_reason =
   | Boundary
@@ -48,11 +53,16 @@ type sched_reason =
       volatile : bool;
     }
 
+(** The three points of a {!spin_while}: before the first iteration, after
+    each iteration whose condition held, and after the condition failed. *)
+type spin_point = Spin_enter | Spin_retry | Spin_exit
+
 type _ Effect.t +=
   | Sched : sched_reason -> unit Effect.t
   | Block : (unit -> bool) * string * Footprint.t -> unit Effect.t
   | Choose : int * string -> int Effect.t
   | Yield : unit Effect.t
+  | Spin : spin_point -> unit Effect.t
 
 (** [sched r] performs a scheduling point and logs the access (if any). *)
 val sched : sched_reason -> unit
@@ -84,6 +94,35 @@ val choose : ?what:string -> int -> int
 
 (** Spin-loop hint; see module description. *)
 val yield : unit -> unit
+
+(** [spin_while cond] re-runs [cond ()] from scratch until it returns
+    [false]: the spin-wait [while cond () do yield () done], with each
+    iteration visible to the scheduler as a unit.
+
+    An iteration {e qualifies} when [cond] did nothing but read modelled
+    shared state: shared reads and CASes that failed. A write, a CAS that
+    succeeded (or any other read-modify-write, lock or condition-variable
+    operation), a {!fence}, a {!choose}, a {!block} or an operation
+    boundary disqualifies it. When a qualifying iteration ends and no
+    location it read has received a new committed value since it read it,
+    re-running it would read the same values and take the same steps, so
+    the thread blocks instead of yielding; it wakes once one of those
+    locations receives a new committed value (under TSO/PSO: a flush, not
+    a buffered store). A spin-wait that can never end therefore ends its
+    execution as a deadlock (a serial-stuck execution in serial mode), not
+    as a step-budget divergence. Any other iteration yields as {!yield}
+    does.
+
+    Contract, beyond {!yield}'s: [cond] may depend only on modelled shared
+    state (reads through {!Shared_var}, {!Var_array} or other
+    instrumented objects) and on values fixed before the loop. A condition
+    that also consults unmodelled state — a counter in a closure, a clock,
+    [Random] — can change its answer without any modelled location
+    changing, and blocking it would lose that behaviour: write such loops
+    with {!yield}. Retry loops that write on every round (a CAS that loses
+    a race, then a fresh attempt) gain nothing from [spin_while]: the lost
+    CAS means a location read this round has changed. *)
+val spin_while : (unit -> bool) -> unit
 
 (** Id of the currently running thread (0-based test-thread index). *)
 val self : unit -> int

@@ -63,7 +63,10 @@ let cas x expected desired =
     x.v <- desired;
     true
   end
-  else false
+  else begin
+    Exec_ctx.note_failed_rmw ();
+    false
+  end
 
 let fetch_and_add x n =
   access x Exec_ctx.Rmw;

@@ -191,6 +191,168 @@ type thread_state =
   | Finished
 
 (* ------------------------------------------------------------------ *)
+(* Spin-assume                                                         *)
+(* ------------------------------------------------------------------ *)
+
+(* Per-thread state of {!Rt.spin_while} bodies. [reads] are the locations
+   the current iteration read (recorded as each read step starts, so a
+   commit that lands before the read is not mistaken for one after it);
+   [stale] means the iteration can no longer block — it did something other
+   than read, or a location it read has since received a new committed
+   value — and, for a thread [waiting] at a spin-wait, that it may run
+   again. [rmw] marks a body RMW step whose outcome ([Exec_ctx.take_failed_rmw])
+   has not been read yet.
+
+   Whether a thread is inside a body ([depth] > 0) is kept per thread, not
+   per domain: a thread can be suspended in the middle of a body while
+   other threads run. Nothing is recorded while no thread is inside a
+   body, and the records are reused across the executions of a domain, so
+   exploring code without spin-waits allocates nothing for them and pays
+   one load of [spin_threads] per step. *)
+type spinner = {
+  mutable depth : int;  (** nesting depth of spin-wait bodies; 0 = outside *)
+  mutable waiting : bool;
+  mutable stale : bool;
+  mutable reads : int list;
+  mutable rmw : bool;
+}
+
+type spin_state = {
+  mutable active : int;  (** threads of this domain inside a spin-wait body *)
+  mutable spinners : spinner array;
+}
+
+let spin_key = Domain.DLS.new_key (fun () -> { active = 0; spinners = [||] })
+
+(* Threads inside a spin-wait body, summed over all domains: the guard on
+   every step, cheaper than reaching the domain's own [spin_state]. *)
+let spin_threads = Atomic.make 0
+
+let fresh_spinner () = { depth = 0; waiting = false; stale = false; reads = []; rmw = false }
+
+(* Run when an execution ends, however it ends: threads killed inside a
+   body leave their records behind. *)
+let spin_reset () =
+  if Atomic.get spin_threads > 0 then begin
+    let sp = Domain.DLS.get spin_key in
+    if sp.active > 0 then begin
+      ignore (Atomic.fetch_and_add spin_threads (-sp.active));
+      sp.active <- 0;
+      Array.iter
+        (fun s ->
+          s.depth <- 0;
+          s.waiting <- false;
+          s.stale <- false;
+          s.reads <- [];
+          s.rmw <- false)
+        sp.spinners
+    end
+  end
+
+let spin_enter i =
+  let sp = Domain.DLS.get spin_key in
+  let have = Array.length sp.spinners in
+  if i >= have then
+    sp.spinners <-
+      Array.init (i + 1) (fun j -> if j < have then sp.spinners.(j) else fresh_spinner ());
+  let s = sp.spinners.(i) in
+  if s.depth = 0 then begin
+    sp.active <- sp.active + 1;
+    Atomic.incr spin_threads;
+    s.stale <- false;
+    s.reads <- []
+  end
+  else
+    (* a spin-wait nested in a body: the outer iteration waits, so it
+       cannot be a stutter *)
+    s.stale <- true;
+  s.depth <- s.depth + 1
+
+let spin_exit i =
+  let sp = Domain.DLS.get spin_key in
+  let s = sp.spinners.(i) in
+  s.depth <- s.depth - 1;
+  if s.depth = 0 then begin
+    sp.active <- sp.active - 1;
+    Atomic.decr spin_threads;
+    s.reads <- [];
+    s.rmw <- false
+  end
+
+(* Thread [i] did something inside a body that disqualifies the iteration
+   (a choice, a block, or — in serial mode — a non-read access). *)
+let spin_taint i =
+  if Atomic.get spin_threads > 0 then begin
+    let sp = Domain.DLS.get spin_key in
+    if i < Array.length sp.spinners && sp.spinners.(i).depth > 0 then
+      sp.spinners.(i).stale <- true
+  end
+
+(* A new committed value at [loc] ([None]: anywhere) invalidates every other
+   spinner that read it. *)
+let spin_commit sp ~by loc =
+  Array.iteri
+    (fun j s ->
+      if j <> by && s.depth > 0 && not s.stale then
+        match loc with
+        | None -> s.stale <- true
+        | Some l -> if List.mem l s.reads then s.stale <- true)
+    sp.spinners
+
+let spin_resolve_rmw s =
+  if s.rmw then begin
+    s.rmw <- false;
+    if not (Exec_ctx.take_failed_rmw ()) then s.stale <- true
+  end
+
+(* Called as thread [i]'s step starts from [st], when some thread is inside
+   a body. A step commits through the access it resumes into: an SC write
+   or any RMW commits its location, a buffered write commits nothing until
+   its flush. The explorer's own [Unknown] resumes — after a yield (always
+   [Ready]) or a spin-wait — run no access before their next scheduling
+   point; an [Unknown] [Rt.block] resume may do anything and invalidates
+   every read set. *)
+let spin_step_start i st =
+  let sp = Domain.DLS.get spin_key in
+  let fp, waking =
+    match st with
+    | Ready { fp; _ } -> fp, false
+    | Blocked { fp; _ } -> fp, true
+    | Finished -> Footprint.pure, false
+  in
+  (match fp with
+   | Footprint.Access { loc; kind = Exec_ctx.Write } ->
+     if Exec_ctx.memory () = Memory_model.Sc then spin_commit sp ~by:i (Some loc)
+   | Footprint.Access { loc; kind = Exec_ctx.Rmw } -> spin_commit sp ~by:i (Some loc)
+   | Footprint.Unknown ->
+     if waking && not (i < Array.length sp.spinners && sp.spinners.(i).waiting) then
+       spin_commit sp ~by:i None
+   | Footprint.Access { kind = Exec_ctx.Read; _ } | Footprint.Pure | Footprint.Event -> ());
+  if i < Array.length sp.spinners && sp.spinners.(i).depth > 0 then begin
+    let s = sp.spinners.(i) in
+    match fp with
+    | Footprint.Access { loc; kind = Exec_ctx.Read } -> s.reads <- loc :: s.reads
+    | Footprint.Access { loc; kind = Exec_ctx.Rmw } ->
+      s.reads <- loc :: s.reads;
+      ignore (Exec_ctx.take_failed_rmw ());
+      s.rmw <- true
+    | Footprint.Access { kind = Exec_ctx.Write; _ } | Footprint.Pure | Footprint.Event ->
+      s.stale <- true
+    | Footprint.Unknown -> ()
+  end
+
+(* Called before flush unit [u] commits its oldest store. *)
+let spin_flush u =
+  if Atomic.get spin_threads > 0 then
+    spin_commit (Domain.DLS.get spin_key) ~by:(-1)
+      (Option.map fst (Exec_ctx.flush_unit_pending u))
+
+(* Called when thread [i]'s step has run: a body RMW's outcome is known. *)
+let spin_step_end i =
+  let sp = Domain.DLS.get spin_key in
+  if i < Array.length sp.spinners then spin_resolve_rmw sp.spinners.(i)
+
+(* ------------------------------------------------------------------ *)
 (* One execution                                                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -204,7 +366,11 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
      contexts (setup above, the final observer after we return) see SC. *)
   let memory = if cfg.mode = Serial then Memory_model.Sc else cfg.memory in
   Exec_ctx.set_memory memory;
-  Fun.protect ~finally:(fun () -> Exec_ctx.set_memory Memory_model.Sc) @@ fun () ->
+  Fun.protect
+    ~finally:(fun () ->
+      Exec_ctx.set_memory Memory_model.Sc;
+      spin_reset ())
+  @@ fun () ->
   let n = Array.length threads in
   let status = Array.make n Finished in
   let yielded = Array.make n false in
@@ -263,9 +429,11 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
                 if !killing then continue k ()
                 else begin
                   match reason, cfg.mode with
+                  | Rt.Access { kind = Exec_ctx.Read; _ }, Serial -> continue k ()
                   | (Rt.Access _ | Rt.Return_boundary | Rt.Fence), Serial ->
                     (* no mid-operation scheduling in serial mode; an
                        operation runs atomically through its return *)
+                    spin_taint i;
                     continue k ()
                   | Rt.Access a, Concurrent ->
                     let fp = Footprint.access ~loc:a.loc ~kind:a.kind in
@@ -295,6 +463,7 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
               (fun (k : (b, unit) continuation) ->
                 if !killing then discontinue k Killed
                 else begin
+                  spin_taint i;
                   status.(i) <-
                     Blocked
                       {
@@ -326,7 +495,63 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
             Some
               (fun (k : (b, unit) continuation) ->
                 if !killing then continue k 0
-                else continue k (decider.decide_value ~arity))
+                else begin
+                  spin_taint i;
+                  continue k (decider.decide_value ~arity)
+                end)
+          | Rt.Spin point ->
+            Some
+              (fun (k : (b, unit) continuation) ->
+                match point with
+                | Rt.Spin_enter ->
+                  if not !killing then spin_enter i;
+                  continue k ()
+                | Rt.Spin_exit ->
+                  if not !killing then spin_exit i;
+                  continue k ()
+                | Rt.Spin_retry when !killing -> discontinue k Killed
+                | Rt.Spin_retry ->
+                  let s = (Domain.DLS.get spin_key).spinners.(i) in
+                  spin_resolve_rmw s;
+                  if cfg.mode = Concurrent then incr yields;
+                  if s.stale || s.depth > 1 then begin
+                    (* An ordinary spin-loop iteration: it wrote, or saw a
+                       value change under it, or it is a spin-wait nested
+                       in another body (whose iteration stays
+                       disqualified). *)
+                    if s.depth = 1 then begin
+                      s.stale <- false;
+                      s.reads <- []
+                    end;
+                    match cfg.mode with
+                    | Serial -> continue k ()
+                    | Concurrent ->
+                      yielded.(i) <- true;
+                      suspend ~voluntary:true ~fp:Footprint.unknown k
+                  end
+                  else begin
+                    (* Spin-assume: re-running the iteration now would read
+                       the same values and take the same steps. Wait until
+                       one of them changes; the resume starts a fresh
+                       iteration. In serial mode nothing else runs inside an
+                       operation, so this is a serial-stuck execution. *)
+                    s.waiting <- true;
+                    status.(i) <-
+                      Blocked
+                        {
+                          wake = (fun () -> s.stale);
+                          what = "spin-wait";
+                          resume =
+                            (fun () ->
+                              s.waiting <- false;
+                              s.stale <- false;
+                              s.reads <- [];
+                              continue k ());
+                          abort = (fun () -> discontinue k Killed);
+                          fp = Footprint.unknown;
+                        };
+                    last_voluntary := true
+                  end)
           | _ -> None);
     }
   in
@@ -502,6 +727,7 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
           Array.iteri (fun j flag -> if flag then yielded.(j) <- false) yielded;
           incr steps;
           incr flushes;
+          spin_flush (chosen - n);
           Exec_ctx.flush_one (chosen - n);
           decider.note_end ~voluntary:true;
           loop ()
@@ -511,7 +737,10 @@ let run_one cfg ~(decider : decider) ~pruned ~setup =
           if List.mem chosen costly then incr preemptions;
           Array.iteri (fun j flag -> if flag && j <> chosen then yielded.(j) <- false) yielded;
           incr steps;
+          let spinning = Atomic.get spin_threads > 0 in
+          if spinning then spin_step_start chosen status.(chosen);
           resume_thread chosen;
+          if spinning then spin_step_end chosen;
           decider.note_end ~voluntary:!last_voluntary;
           if
             cfg.mode = Serial

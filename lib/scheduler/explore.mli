@@ -20,6 +20,13 @@
     - {e fair scheduling} (Musuvathi & Qadeer, PLDI 2008, approximated): a
       thread that performed [Rt.yield] (a spin-loop iteration) is not
       scheduled again until some other enabled thread has run;
+    - {e spin-assume} (Kokologiannakis, Ren & Vafeiadis, FMCAD 2021): an
+      [Rt.spin_while] iteration that did nothing but reads and failed
+      CASes, and whose reads are all still current when it ends, blocks
+      its thread until a location it read receives a new committed value
+      (an SC write, an RMW, or a flush — not a buffered store); any other
+      iteration yields. Read sets are kept per thread, and only while the
+      thread is inside a spin-wait body;
     - {e deadlock detection}: blocked threads are disabled, so an execution
       with no enabled threads is a deadlock — reported as a stuck execution;
     - a per-execution step budget backstops genuine divergence, which is
@@ -113,7 +120,10 @@ type exec_outcome = {
   exec_end : exec_end;
   steps : int;
   preemptions : int;
-  yields : int;  (** [Rt.yield] suspensions (spin-loop iterations) *)
+  yields : int;
+      (** spin-loop iterations: [Rt.yield] suspensions and
+          [Rt.spin_while] iterations that asked for another round (whether
+          they then waited or yielded) *)
   flushes : int;  (** store-buffer commits performed; [0] under SC *)
   choice_points : int;
       (** scheduling points where more than one continuation was

@@ -25,6 +25,7 @@ let () =
       "pipeline", Test_pipeline.tests;
       "tso", Test_tso.tests;
       "memory", Test_memory.tests;
+      "spin", Test_spin.tests;
       "cross-validation", Test_crossval.tests;
       "membership", Test_membership.tests;
       "shard", Test_shard.tests;

@@ -204,4 +204,21 @@ let registry_sweep =
             if Check.passed r then Alcotest.failf "%s should fail" name))
       targeted
 
-let tests = sequential @ registry_sweep
+(* SegmentQueue.IsEmpty once read [high] before [low] (OCaml evaluates the
+   operands of [>=] right to left): an enqueue and a dequeue between the
+   two reads made it answer true with an element present. *)
+let regressions =
+  [
+    test "SegmentQueue.IsEmpty reads low before high" (fun () ->
+        let config = Check.config_with ~membership:Check.Generic () in
+        let r =
+          Check.run ~config Conc.Segment_queue.adapter
+            (Test_matrix.make
+               [
+                 [ inv_int "Enqueue" 400; inv "IsEmpty" ]; [ inv_int "Enqueue" 400; inv "TryDequeue" ];
+               ])
+        in
+        if not (Check.passed r) then Alcotest.failf "SegmentQueue: %s" (Report.summary r));
+  ]
+
+let tests = sequential @ registry_sweep @ regressions

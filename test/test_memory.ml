@@ -118,22 +118,42 @@ let suite =
         let r, _ = run_with ~memory:Memory_model.Pso fence_free dekker_test in
         Alcotest.(check bool) "pso fails" true (Check.failed r));
     test "the fences restore correctness under tso and pso" (fun () ->
-        (* exhausting the fenced protocol at the default preemption bound
-           takes minutes (every spin iteration is a choice point); bound 1
-           with por keeps the run ~20s while preserving the contrast — the
-           seeded bug needs exactly one preemption, so it is found at this
-           bound (asserted below on the fence-free variant). *)
+        (* bound 1 with por: the seeded bug needs exactly one preemption, so
+           it is found at this bound (asserted below on the fence-free
+           variant). The fenced protocol must pass with exactly the sc
+           histories; spin-assume keeps each weak run within 150k
+           executions (839k when the spin loop yielded). *)
+        let histories m =
+          ( Metrics.get m "check.phase2.histories_distinct",
+            Metrics.get m "check.phase2.histories_fingerprint" )
+        in
+        let _, m_sc = run_with ~por:true ~pb:1 ~memory:Memory_model.Sc fenced dekker_test in
         List.iter
           (fun memory ->
-            let r, _ = run_with ~por:true ~pb:1 ~memory fenced dekker_test in
+            let name = Memory_model.to_string memory in
+            let r, m = run_with ~por:true ~pb:1 ~memory fenced dekker_test in
             if not (Check.passed r) then
-              Alcotest.failf "fenced dekker under %s: %s" (Memory_model.to_string memory)
-                (Report.summary r);
+              Alcotest.failf "fenced dekker under %s: %s" name (Report.summary r);
+            Alcotest.(check (pair int int)) (name ^ " histories = sc") (histories m_sc) (histories m);
+            let executions = Metrics.get m "explore.phase2.executions" in
+            if executions > 150_000 then
+              Alcotest.failf "fenced dekker under %s: %d executions" name executions;
             let r, _ = run_with ~por:true ~pb:1 ~memory fence_free dekker_test in
             if not (Check.failed r) then
-              Alcotest.failf "fence-free dekker under %s at bound 1: %s"
-                (Memory_model.to_string memory) (Report.summary r))
+              Alcotest.failf "fence-free dekker under %s at bound 1: %s" name (Report.summary r))
           [ Memory_model.Tso; Memory_model.Pso ]);
+    test "fence-free Inc/Inc under tso: spinners wait, so the flush is forced" (fun () ->
+        (* With yielding spin loops the two spinners alternated without
+           ever forcing the flush that would let one of them in, and the
+           run failed on a 50,000-step divergence ("unjustified blocking").
+           Waiting spinners leave the flush as the only move. The lost
+           update the missing fence allows is invisible to Inc alone. *)
+        let r, m =
+          run_with ~por:true ~pb:1 ~memory:Memory_model.Tso fence_free
+            (Test_matrix.make [ [ inv "Inc" ]; [ inv "Inc" ] ])
+        in
+        Alcotest.(check int) "divergences" 0 (Metrics.get m "explore.phase2.divergences");
+        Alcotest.(check bool) "passes" true (Check.passed r));
     test "weak runs count their flushes" (fun () ->
         let _, m =
           run_with ~memory:Memory_model.Tso peek_forwards_adapter

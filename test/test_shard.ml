@@ -326,6 +326,41 @@ let merge_suite =
           (render adapter counter_test merged);
         Alcotest.(check string) "metrics registry" (Metrics.to_json m_ref)
           (Metrics.to_json m_shard));
+    test "workers rebuilding the observation from its file probe like -j" (fun () ->
+        (* A shard worker receives phase 1 as an observation file and
+           rebuilds the set from it. Its witness search must visit the
+           candidates in the same order as the in-process -j run, which the
+           witness_probes counter makes visible. *)
+        let adapter = Conc.Concurrent_queue.correct in
+        let test =
+          Test_matrix.make
+            [
+              [ inv_int "Enqueue" 1; inv "TryDequeue" ];
+              [ inv_int "Enqueue" 2; inv "TryDequeue"; inv "TryPeek" ];
+            ]
+        in
+        let m_ref = Metrics.create () in
+        ignore (Check.run ~config ~metrics:m_ref adapter test);
+        let m_shard = Metrics.create () in
+        let observation, phase1, frontier, _ = shard_run ~metrics:m_shard ~order:Fun.id adapter test in
+        let rebuilt =
+          match
+            Observation_file.observation_of_histories
+              (Observation_file.of_string (Observation_file.to_string observation))
+          with
+          | Ok obs -> obs
+          | Error _ -> Alcotest.fail "the observation file does not rebuild"
+        in
+        let parts =
+          List.mapi
+            (fun index prefix ->
+              Check.run_partition ~config ~observation:rebuilt ~index ~prefix adapter test)
+            frontier.Explore.prefixes
+        in
+        ignore (Check.merge_partitions ~metrics:m_shard ~observation ~phase1 ~frontier parts);
+        let probes m = Metrics.get m "check.phase2.witness_probes" in
+        Alcotest.(check bool) "some probes" true (probes m_ref > 0);
+        Alcotest.(check int) "witness_probes" (probes m_ref) (probes m_shard));
     test "merge re-applies the cut rule on a failing class" (fun () ->
         (* Checkpoints past the earliest stopping partition may exist on
            disk (written before the stop, or by a resumed over-eager
